@@ -12,7 +12,9 @@ dropped from the critical path, a workload generator change.
 Before the baseline comparison the suite is run five ways -- plain, sharded,
 distilled, vectorized, and streamed -- and all five must agree *identically*:
 the execution strategies are exactness-preserving by contract, so any
-divergence is an execution-path bug, not drift.
+divergence is an execution-path bug, not drift.  Because of that identity
+the baseline records one ``slowdowns`` section, and only the plain run is
+compared against it.
 
 Usage:
     python scripts/check_bench_regression.py            # gate (exit 1 on drift)
@@ -141,14 +143,7 @@ def main() -> int:
     if args.update:
         with open(args.baseline, "w") as handle:
             json.dump(
-                {
-                    "settings": SETTINGS,
-                    "slowdowns": current,
-                    "sharded_slowdowns": sharded,
-                    "distilled_slowdowns": distilled,
-                    "vectorized_slowdowns": vectorized,
-                    "streamed_slowdowns": streamed,
-                },
+                {"settings": SETTINGS, "slowdowns": current},
                 handle,
                 indent=2,
                 sort_keys=True,
@@ -170,41 +165,30 @@ def main() -> int:
         return 2
 
     failures = []
-    sections = [
-        ("slowdowns", current),
-        ("sharded_slowdowns", sharded),
-        ("distilled_slowdowns", distilled),
-        ("vectorized_slowdowns", vectorized),
-        ("streamed_slowdowns", streamed),
-    ]
-    for section, measured in sections:
-        recorded = baseline.get(section)
-        if recorded is None:
-            failures.append(f"baseline has no {section!r} section; run with --update")
-            continue
-        print(f"[{section}]")
-        print(f"{'benchmark':<12} {'mode':<10} {'baseline':>9} {'current':>9} {'drift':>8}")
-        for bench in sorted(set(recorded) | set(measured)):
-            base_modes = recorded.get(bench, {})
-            cur_modes = measured.get(bench, {})
-            for mode in sorted(set(base_modes) | set(cur_modes)):
-                base = base_modes.get(mode)
-                cur = cur_modes.get(mode)
-                if base is None or cur is None:
-                    failures.append(
-                        f"{section}: {bench}/{mode}: present in only one of baseline/current"
-                    )
-                    continue
-                drift = (cur - base) / base
-                flag = ""
-                if abs(drift) > args.tolerance:
-                    failures.append(
-                        f"{section}: {bench}/{mode}: slowdown {base:.4f} -> {cur:.4f} "
-                        f"({drift:+.1%} > ±{args.tolerance:.0%})"
-                    )
-                    flag = "  <-- FAIL"
-                print(f"{bench:<12} {mode:<10} {base:>9.4f} {cur:>9.4f} {drift:>+8.2%}{flag}")
-        print()
+    recorded = baseline.get("slowdowns")
+    if recorded is None:
+        print("error: baseline has no 'slowdowns' section; run with --update")
+        return 2
+    print(f"{'benchmark':<12} {'mode':<10} {'baseline':>9} {'current':>9} {'drift':>8}")
+    for bench in sorted(set(recorded) | set(current)):
+        base_modes = recorded.get(bench, {})
+        cur_modes = current.get(bench, {})
+        for mode in sorted(set(base_modes) | set(cur_modes)):
+            base = base_modes.get(mode)
+            cur = cur_modes.get(mode)
+            if base is None or cur is None:
+                failures.append(f"{bench}/{mode}: present in only one of baseline/current")
+                continue
+            drift = (cur - base) / base
+            flag = ""
+            if abs(drift) > args.tolerance:
+                failures.append(
+                    f"{bench}/{mode}: slowdown {base:.4f} -> {cur:.4f} "
+                    f"({drift:+.1%} > ±{args.tolerance:.0%})"
+                )
+                flag = "  <-- FAIL"
+            print(f"{bench:<12} {mode:<10} {base:>9.4f} {cur:>9.4f} {drift:>+8.2%}{flag}")
+    print()
 
     if failures:
         print(f"\nREGRESSION GATE FAILED ({len(failures)} ratios outside tolerance):")

@@ -314,26 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--on-failure",
         choices=["raise", "degrade"],
         default=None,
-        help="supervised-execution failure policy (bench/sweep only): "
-        "'raise' aborts on the first quarantined task, 'degrade' drops the "
-        "affected benchmarks and reports them in the failure manifest; "
-        "giving either engages the supervised worker pool",
+        help="what to do with a task that exhausts its retries (bench/sweep "
+        "only): 'raise' aborts on the first quarantined task, 'degrade' drops "
+        "the affected benchmarks and reports them in the failure manifest; "
+        "the flag changes only the policy, every run is supervised",
     )
     parser.add_argument(
         "--task-deadline",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task wall-clock deadline under supervised execution: an "
-        "overdue worker is killed and its task retried (bench/sweep only)",
+        help="per-task wall-clock deadline: an overdue worker is killed and "
+        "its task retried (bench/sweep only)",
     )
     parser.add_argument(
         "--task-retries",
         type=int,
         default=None,
         metavar="N",
-        help="retry budget per task before quarantine under supervised "
-        "execution (bench/sweep only; default 2)",
+        help="retry budget per task before quarantine (bench/sweep only; "
+        "default 2 when any supervision flag is given, otherwise 0)",
     )
     parser.add_argument(
         "--manifest",
@@ -365,7 +365,8 @@ def _supervision_policy(args: argparse.Namespace) -> Optional[SupervisionPolicy]
     """Build an explicit :class:`SupervisionPolicy` from the CLI flags.
 
     Returns ``None`` when no supervision flag was given -- the execution
-    layer still self-arms when a fault plan is active in the environment.
+    layer then picks its default policy (the full ``SupervisionPolicy()``
+    when a fault plan is active in the environment).
     """
     overrides: Dict[str, object] = {}
     if args.task_deadline is not None:

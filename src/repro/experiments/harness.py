@@ -30,7 +30,7 @@ from repro.core.config import SystemConfig
 from repro.core.toleo import ToleoDevice
 from repro.core.trip import TripFormat
 from repro.sim.configs import EVALUATED_MODES, ModeLike
-from repro.sim.engine import EngineOptions, run_suite
+from repro.sim.engine import EngineOptions
 from repro.sim.faults import FailureManifest, SupervisionPolicy
 from repro.sim.parallel import parallel_map, resolve_supervision, run_suite_parallel
 from repro.sim.shard import ShardSpec, run_suite_sharded
@@ -173,7 +173,7 @@ def run_benchmarks(
         spec = ShardSpec(shard_size=num_accesses)
 
     policy = resolve_supervision(policy, on_failure)
-    if policy is not None and manifest is None:
+    if manifest is None:
         manifest = FailureManifest()
 
     key = suite_key(
@@ -209,7 +209,7 @@ def run_benchmarks(
             manifest=manifest,
             resume=resume,
         )
-    elif jobs != 1 or policy is not None:
+    else:
         results = run_suite_parallel(
             names,
             modes=modes,
@@ -224,19 +224,7 @@ def run_benchmarks(
             policy=policy,
             manifest=manifest,
         )
-    else:
-        results = run_suite(
-            names,
-            modes=modes,
-            scale=scale,
-            num_accesses=num_accesses,
-            seed=seed,
-            config=config,
-            options=options,
-            distill=distill,
-            vector=vector,
-        )
-    degraded = manifest is not None and bool(manifest.quarantined)
+    degraded = bool(manifest.quarantined)
     if use_cache and not degraded:
         # A degraded suite is missing quarantined cells; caching it under the
         # full suite key would poison every later clean run.

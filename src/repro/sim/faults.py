@@ -29,7 +29,7 @@ here and consumed by :mod:`repro.sim.parallel`:
 
 Nothing in this module ever enters a persistent-store key: supervision and
 fault injection are *execution* concerns, and a supervised run's results are
-bit-identical to an unsupervised one by construction (faults either retry to
+bit-identical to the serial engine's by construction (faults either retry to
 success or remove the task from the results entirely).
 """
 
@@ -344,8 +344,8 @@ class TaskFailureRecord:
 class TaskFailure:
     """Degrade-mode result sentinel for a quarantined task.
 
-    Merge layers (:func:`repro.sim.parallel.merge_suite_results`,
-    :func:`repro.sim.shard._stitch_suite`) skip these -- a quarantined task
+    The suite merge (:func:`repro.sim.parallel.merge_suite_results`)
+    skips these -- a quarantined task
     contributes *nothing* to the merged results, never a partial or default
     value.
     """

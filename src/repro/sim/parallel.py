@@ -5,7 +5,7 @@ builds its own cache hierarchy, protection-path components and RNGs from the
 run seed, and the only cross-mode coupling -- the NoProtect baseline time
 stitched into each result -- is a pure post-processing step.  That makes the
 suite embarrassingly parallel, and :func:`run_suite_parallel` fans the pairs
-out over a ``multiprocessing`` pool and then merges deterministically:
+out over worker processes and then merges deterministically:
 
 * tasks are enumerated benchmark-major, mode-minor (the serial order), and
   results are reassembled into the same nested dict shape regardless of
@@ -19,31 +19,33 @@ of a benchmark that land on the same worker share one trace generation.
 
 The task/merge helpers (:func:`suite_tasks`, :func:`merge_suite_results`) are
 exposed separately so bulk runners -- the sweep subsystem in particular --
-can flatten *many* suites into one task list for a single pool, instead of
-paying pool startup per grid point.
+can flatten *many* suites into one task list for a single set of workers,
+instead of paying worker startup per grid point.
 
-**Supervised execution.**  Passing a
-:class:`~repro.sim.faults.SupervisionPolicy` (or activating a
-:class:`~repro.sim.faults.FaultPlan` through ``REPRO_FAULT_PLAN``) routes
-``parallel_map``/``pipelined_map`` through :class:`SupervisedExecutor`
-instead of the plain pool: a fixed set of worker processes fed over
-per-worker pipes, with per-attempt deadlines enforced by a watchdog thread,
-detection of a worker dying *mid-task* (a plain ``apply_async`` whose worker
-segfaults simply never completes), checksummed result envelopes (a corrupted
-payload is detected and retried, never silently unpickled into a wrong
-answer), bounded retry with deterministic exponential backoff, and a
-quarantine path: a task that exhausts its retries either aborts the run
-(``on_failure="raise"``) or is recorded in a
+**One executor.**  Every map with more than one worker and more than one
+task runs on :class:`SupervisedExecutor`: a fixed set of worker processes
+fed over per-worker pipes, with per-attempt deadlines enforced by a
+watchdog thread, detection of a worker dying *mid-task*, checksummed result
+envelopes (a corrupted payload is detected and retried, never silently
+unpickled into a wrong answer), bounded retry with deterministic
+exponential backoff, and a quarantine path: a task that exhausts its
+retries either aborts the run (``on_failure="raise"``) or is recorded in a
 :class:`~repro.sim.faults.FailureManifest` and replaced by a
 :class:`~repro.sim.faults.TaskFailure` sentinel so every *other* task and
-chain still completes (``"degrade"``).  Supervision is an execution
-strategy, not a model change: a supervised run's surviving results are
-bit-identical to an unsupervised run's, and nothing about the policy or
-plan ever enters a persistent-store key.
+chain still completes (``"degrade"``).  Without an explicit
+:class:`~repro.sim.faults.SupervisionPolicy` the run uses
+:data:`DEFAULT_POLICY` (no deadline, no retries, raise), or the full default
+``SupervisionPolicy()`` when a :class:`~repro.sim.faults.FaultPlan` is
+active through ``REPRO_FAULT_PLAN``.  Supervision is an execution strategy,
+not a model change: surviving results are bit-identical to the serial
+engine's, and nothing about the policy or plan ever enters a
+persistent-store key.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import heapq
 import multiprocessing
@@ -127,21 +129,9 @@ def _task_label(task: Any) -> str:
     return type(task).__name__
 
 
-def _effective_policy(
-    policy: Optional[SupervisionPolicy],
-) -> Optional[SupervisionPolicy]:
-    """The policy to run under: explicit, implied by an active plan, or none.
-
-    An activated :class:`FaultPlan` (``REPRO_FAULT_PLAN``) implies default
-    supervision even when the caller passed no policy -- the chaos CI job
-    sets the environment variable and every execution path self-arms,
-    with no argument threading through harness/sweep/CLI required.
-    """
-    if policy is not None:
-        return policy
-    if FaultPlan.active() is not None:
-        return SupervisionPolicy()
-    return None
+#: The policy of a run that asked for none: no deadline, no retries, and a
+#: failing task aborts the run with :class:`TaskFailedError`.
+DEFAULT_POLICY = SupervisionPolicy(deadline=None, retries=0, on_failure="raise")
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +148,20 @@ def _supervised_worker_main(conn: multiprocessing.connection.Connection) -> None
     fault-injection layer gets a chance to damage the payload, so an
     injected (or real) corruption is always detectable in the parent --
     the digest is the ground truth the corruption cannot touch.
+
+    The worker also watches its parent's sentinel: a parent killed without
+    cleanup (SIGKILL) cannot close the pipe, because the forked worker
+    holds both of its ends, so the sentinel is what lets the worker exit.
     """
     from repro.sim.faults import corrupt_payload
 
     plan = FaultPlan.active()
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
     while True:
         try:
+            if conn not in multiprocessing.connection.wait(watched):
+                return
             message = conn.recv()
         except (EOFError, OSError):
             return
@@ -230,13 +228,11 @@ class _SupervisedWorker:
 class SupervisedExecutor:
     """A fault-tolerant task executor over dedicated worker processes.
 
-    Unlike ``multiprocessing.Pool``, every worker has its *own* duplex pipe
-    and an explicit current-task assignment, which is what makes the three
-    failure modes attributable:
+    Every worker has its *own* duplex pipe and an explicit current-task
+    assignment, which is what makes the three failure modes attributable:
 
     * **worker death** -- the worker's pipe EOFs / its sentinel fires, and
-      the parent knows exactly which task died with it (a pool's
-      ``apply_async`` in the same situation simply never completes);
+      the parent knows exactly which task died with it;
     * **hang** -- a watchdog thread kills any worker past its per-attempt
       deadline; the main loop then observes the death with ``timed_out``
       set and attributes it to the deadline, not a crash;
@@ -511,7 +507,7 @@ def _call_supervised_inline(
     index: int,
     label: str,
 ) -> Any:
-    """In-process supervision for the serial fallback paths.
+    """In-process supervision for inline (single-worker) runs.
 
     Applies the same retry/backoff/quarantine discipline as the executor.
     Process-level faults (``crash``/``hang``/``corrupt``) need a worker
@@ -565,61 +561,30 @@ def parallel_map(
 ) -> List:
     """Map ``func`` over ``tasks`` with up to ``jobs`` worker processes.
 
-    Falls back to an in-process loop for a single job or a single task, so
-    callers get one code path whose serial case adds zero overhead.  Results
-    are returned in task order (``Pool.map`` preserves ordering), which is
-    what keeps the parallel suite merge deterministic.
+    Each task is a one-step chain of :func:`pipelined_map`, so a single job
+    or a single task runs in-process and anything more runs on
+    :class:`SupervisedExecutor`.  Results come back in task order whatever
+    order they complete in, which is what keeps the parallel suite merge
+    deterministic.
 
-    With a :class:`SupervisionPolicy` (or an active ``REPRO_FAULT_PLAN``),
-    execution routes through :class:`SupervisedExecutor`: deadlines,
-    worker-death detection, retry with deterministic backoff, and -- under
-    ``on_failure="degrade"`` -- :class:`TaskFailure` sentinels in the slots
-    of quarantined tasks instead of an aborted run.
+    ``policy`` defaults to :data:`DEFAULT_POLICY` (see
+    :func:`resolve_supervision`); under it a task that raises aborts the map
+    with :class:`TaskFailedError` naming the task and the original
+    ``Type: message``.  Under ``on_failure="degrade"`` the slots of
+    quarantined tasks hold :class:`TaskFailure` sentinels instead.
     """
-    jobs = min(resolve_jobs(jobs), len(tasks))
-    policy = _effective_policy(policy)
-    if policy is not None and manifest is None:
-        manifest = FailureManifest()
-    if jobs <= 1 or len(tasks) <= 1:
-        if policy is None:
-            return [func(task) for task in tasks]
-        return [
-            _call_supervised_inline(
-                lambda t=task: func(t), policy, manifest, index, _task_label(task)
-            )
-            for index, task in enumerate(tasks)
-        ]
-    if policy is None:
-        # Hash the package source once here rather than once per spawn
-        # worker: the exported value rides the environment into every
-        # worker's code_fingerprint(), whose first store access would
-        # otherwise re-read the whole source tree.
-        export_code_fingerprint()
-        pool = _pool_context().Pool(processes=jobs)
-        try:
-            with pool:
-                return pool.map(func, tasks, chunksize=1)
-        except KeyboardInterrupt:
-            # ^C during a map used to strand spawn workers mid-task and
-            # leave this process's sqlite handle pinning the store WAL.
-            pool.terminate()
-            pool.join()
-            close_default_connections()
-            raise
-    executor = SupervisedExecutor(jobs, policy, manifest)
-    results: List[Any] = [None] * len(tasks)
-    for index, task in enumerate(tasks):
-        executor.submit(index, func, (task,), label=_task_label(task))
+    return pipelined_map(
+        functools.partial(_call_one, func),
+        [[task] for task in tasks],
+        jobs=jobs,
+        policy=policy,
+        manifest=manifest,
+    )
 
-    def deliver(key: Any, value: Any) -> None:
-        results[key] = value
 
-    try:
-        executor.run(deliver)
-    except KeyboardInterrupt:
-        close_default_connections()
-        raise
-    return results
+def _call_one(func: Callable, task: Any, _carry: Any) -> Any:
+    """A :func:`parallel_map` task as a chain step: the carry is unused."""
+    return func(task)
 
 
 def pipelined_map(
@@ -631,7 +596,7 @@ def pipelined_map(
     initials: Optional[Sequence[Any]] = None,
     on_carry: Optional[Callable[[int, int, Any], None]] = None,
 ) -> List[Any]:
-    """Run several sequential task chains concurrently over one worker pool.
+    """Run several sequential task chains concurrently over one set of workers.
 
     Each chain is a list of tasks with a data dependency between consecutive
     steps: ``func(task, carry)`` receives the previous step's return value as
@@ -641,11 +606,11 @@ def pipelined_map(
     handoff: shard k of a (benchmark, mode) pair needs shard k-1's checkpoint,
     but every *pair's* current shard occupies a worker simultaneously.
 
-    Steps are submitted with ``apply_async`` and the completion callback
-    immediately submits the chain's next step, so no barrier ever holds a
-    finished chain hostage to a slower one.  Returns the final carry of each
-    chain, in chain order; the serial fallback (one job or one chain's worth
-    of work) keeps a single in-process code path.
+    The parent schedules the steps itself on :class:`SupervisedExecutor`:
+    the delivery of step k submits step k+1, so no barrier ever holds a
+    finished chain hostage to a slower one, and worker death, retries and
+    quarantine all happen *per step*.  Returns the final carry of each
+    chain, in chain order; one job or a single step runs in-process.
 
     ``initials`` seeds each chain's first ``carry`` (resume support: a chain
     trimmed to its unfinished suffix starts from a restored checkpoint
@@ -653,10 +618,10 @@ def pipelined_map(
     in the *parent* after every completed step -- intermediate carries are
     checkpoints, the last carry is the chain's final result -- which is how
     :mod:`repro.sim.shard` persists in-flight checkpoints without widening
-    its task tuples.  Under a :class:`SupervisionPolicy` (or an active
-    ``REPRO_FAULT_PLAN``) steps run supervised; a chain whose step is
-    quarantined in degrade mode yields a :class:`TaskFailure` in its final
-    slot while every other chain runs to completion.
+    its task tuples.  An exception raised by ``on_carry`` aborts the map and
+    reaches the caller.  Under ``on_failure="degrade"`` a chain whose step
+    is quarantined yields a :class:`TaskFailure` in its final slot while
+    every other chain runs to completion.
     """
     chains = [list(chain) for chain in chains]
     starts: List[Any] = (
@@ -668,8 +633,8 @@ def pipelined_map(
         )
     total = sum(len(chain) for chain in chains)
     jobs = min(resolve_jobs(jobs), max(1, len(chains)))
-    policy = _effective_policy(policy)
-    if policy is not None and manifest is None:
+    policy = resolve_supervision(policy)
+    if manifest is None:
         manifest = FailureManifest()
 
     if jobs <= 1 or total <= 1:
@@ -679,16 +644,13 @@ def pipelined_map(
             carry: Any = starts[chain_index]
             outcome: Any = None
             for step_index, task in enumerate(chain):
-                if policy is None:
-                    carry = func(task, carry)
-                else:
-                    carry = _call_supervised_inline(
-                        lambda t=task, c=carry: func(t, c),
-                        policy,
-                        manifest,
-                        index,
-                        _task_label(task),
-                    )
+                carry = _call_supervised_inline(
+                    lambda t=task, c=carry: func(t, c),
+                    policy,
+                    manifest,
+                    index,
+                    _task_label(task),
+                )
                 index += 1
                 outcome = carry
                 if isinstance(carry, TaskFailure):
@@ -698,106 +660,8 @@ def pipelined_map(
             finals.append(outcome)
         return finals
 
-    if policy is not None:
-        return _pipelined_supervised(
-            func, chains, starts, jobs, policy, manifest, on_carry
-        )
-
-    finals = [None] * len(chains)
-    errors: List[BaseException] = []
-    lock = threading.Lock()
-    done = threading.Event()
-    remaining = sum(1 for chain in chains if chain)
-
-    export_code_fingerprint()
-    pool = _pool_context().Pool(processes=jobs)
-    try:
-        with pool:
-
-            def submit(chain_index: int, step_index: int, carry: Any) -> None:
-                pool.apply_async(
-                    func,
-                    (chains[chain_index][step_index], carry),
-                    callback=lambda result: advance(chain_index, step_index, result),
-                    error_callback=fail,
-                )
-
-            def advance(chain_index: int, step_index: int, result: Any) -> None:
-                # Runs on the pool's result-handler thread; submitting the next
-                # step from here is what keeps the pipeline barrier-free.  An
-                # exception escaping this callback would kill that thread with
-                # ``done`` never set and the caller blocked forever, so anything
-                # raised here (e.g. ``submit`` on a pool that started closing,
-                # or a store write inside ``on_carry``) must land in ``errors``
-                # and release the waiter.  The except body runs after ``with
-                # lock`` has released, so re-taking the (non-reentrant) lock
-                # there cannot self-deadlock.
-                nonlocal remaining
-                try:
-                    with lock:
-                        if errors:
-                            return
-                        if on_carry is not None:
-                            on_carry(chain_index, step_index, result)
-                        if step_index + 1 < len(chains[chain_index]):
-                            submit(chain_index, step_index + 1, result)
-                            return
-                        finals[chain_index] = result
-                        remaining -= 1
-                        if remaining == 0:
-                            done.set()
-                except BaseException as exc:
-                    with lock:
-                        errors.append(exc)
-                    done.set()
-
-            def fail(error: BaseException) -> None:
-                with lock:
-                    errors.append(error)
-                done.set()
-
-            try:
-                with lock:
-                    if remaining == 0:
-                        done.set()
-                    for chain_index, chain in enumerate(chains):
-                        if chain:
-                            submit(chain_index, 0, starts[chain_index])
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                done.set()
-            done.wait()
-            if errors:
-                raise errors[0]
-    except KeyboardInterrupt:
-        # Same cleanup contract as parallel_map: no orphaned workers, no
-        # sqlite handle left pinning the store WAL.
-        pool.terminate()
-        pool.join()
-        close_default_connections()
-        raise
-    return finals
-
-
-def _pipelined_supervised(
-    func: Callable[[Any, Any], Any],
-    chains: List[List[Any]],
-    starts: List[Any],
-    jobs: int,
-    policy: SupervisionPolicy,
-    manifest: Optional[FailureManifest],
-    on_carry: Optional[Callable[[int, int, Any], None]],
-) -> List[Any]:
-    """Pipelined chains over the supervised executor.
-
-    The parent schedules chain steps itself (delivery of step k submits step
-    k+1), so worker death, retries and quarantine all happen *per step* --
-    a quarantined step abandons only its own chain, and every other chain's
-    steps keep flowing through the surviving workers.
-    """
     executor = SupervisedExecutor(jobs, policy, manifest)
-    finals: List[Any] = [None] * len(chains)
+    finals = [None] * len(chains)
 
     def submit_step(chain_index: int, step_index: int, carry: Any) -> None:
         task = chains[chain_index][step_index]
@@ -826,6 +690,8 @@ def _pipelined_supervised(
     try:
         executor.run(deliver)
     except KeyboardInterrupt:
+        # The executor kills and reaps its workers; this process's sqlite
+        # handle must not stay behind pinning the store WAL either.
         close_default_connections()
         raise
     return finals
@@ -866,6 +732,17 @@ def _run_suite_task(task: SuiteTask) -> SimulationResult:
     return engine.run(trace, num_accesses=num_accesses)
 
 
+def suite_pairs(
+    names: Sequence[str], modes: Sequence[ModeLike]
+) -> List[Tuple[str, str]]:
+    """One suite's (benchmark, mode label) cells, benchmark-major, mode-minor.
+
+    ``NOPROTECT`` is always included (first) even when not requested -- it
+    provides the baseline time the merge stitches into every result.
+    """
+    return [(name, label) for name in names for label in ordered_modes(modes)]
+
+
 def suite_tasks(
     names: Sequence[str],
     modes: Sequence[ModeLike],
@@ -877,15 +754,11 @@ def suite_tasks(
     distill: bool = True,
     vector: bool = True,
 ) -> List[SuiteTask]:
-    """Enumerate one suite's tasks benchmark-major, mode-minor (serial order).
-
-    ``NOPROTECT`` is always included (first) even when not requested -- it
-    provides the baseline time the merge stitches into every result.
-    """
+    """Enumerate one suite's tasks in :func:`suite_pairs` order."""
     return [
         (
             name,
-            mode_parameters(mode),
+            mode_parameters(label),
             scale,
             num_accesses,
             seed,
@@ -894,21 +767,22 @@ def suite_tasks(
             distill,
             vector,
         )
-        for name in names
-        for mode in ordered_modes(modes)
+        for name, label in suite_pairs(names, modes)
     ]
 
 
 def merge_suite_results(
-    tasks: Sequence[SuiteTask],
+    pairs: Sequence[Tuple[str, str]],
     results: Sequence[Any],
     requested_modes: Sequence[ModeLike],
 ) -> SuiteResults:
-    """Reassemble task-ordered results into the serial driver's suite shape.
+    """Reassemble per-cell results into the serial driver's suite shape.
 
-    Stitches the per-benchmark NoProtect baseline into every result, then
-    returns only the requested modes -- exactly as the serial
-    :func:`repro.sim.engine.compare_modes` does.
+    ``pairs`` names each result's (benchmark, mode label) cell, as
+    :func:`suite_pairs` enumerates them.  Stitches the per-benchmark
+    NoProtect baseline into every result, then returns only the requested
+    modes -- exactly as the serial :func:`repro.sim.engine.compare_modes`
+    does.
 
     Degrade-mode :class:`TaskFailure` sentinels contribute nothing: the
     quarantined (benchmark, mode) cell is simply absent from the merged
@@ -919,10 +793,10 @@ def merge_suite_results(
     probing the suite shape.
     """
     complete: SuiteResults = {}
-    for (name, params, *_), result in zip(tasks, results):
+    for (name, label), result in zip(pairs, results):
         if result is None or isinstance(result, TaskFailure):
             continue
-        complete.setdefault(name, {})[params.label] = result
+        complete.setdefault(name, {})[label] = result
 
     requested = {mode_label(mode) for mode in requested_modes}
     suite: SuiteResults = {}
@@ -936,6 +810,38 @@ def merge_suite_results(
             mode: result for mode, result in per_mode.items() if mode in requested
         }
     return suite
+
+
+def predistill_suite(
+    names: Iterable[str],
+    modes: Sequence[ModeLike],
+    scale: float,
+    num_accesses: int,
+    seed: int,
+    config: Optional[SystemConfig],
+    vector: bool,
+) -> None:
+    """Distill every benchmark's event stream in the parent, before any worker.
+
+    Forked workers inherit the store's memory layer and replay without
+    capturing a trace or re-running the pre-pass (spawn workers read the
+    entry back from disk).  Without this, the first wave of workers -- all
+    landing on the same benchmark's modes -- would each distill it
+    concurrently.  The MAC tier (shared by every MAC-bearing mode) is
+    precomputed here for the same reason.
+    """
+    from repro.sim import replaycore
+    from repro.sim.distill import distilled_events
+
+    precompute_tier = (
+        vector
+        and replaycore.HAVE_NUMPY
+        and any(mode_parameters(mode).mac_traffic for mode in ordered_modes(modes))
+    )
+    for name in names:
+        events = distilled_events(name, scale, seed, num_accesses, config)
+        if precompute_tier:
+            replaycore.distilled_mac_tier(events, config)
 
 
 def run_suite_parallel(
@@ -964,9 +870,9 @@ def run_suite_parallel(
     that support it.  Pass ``False`` to force the slower paths -- the
     results are identical on all of them.
 
-    ``on_failure`` ("raise" or "degrade") requests supervised execution and
-    overrides the policy's quarantine behaviour; ``policy``/``manifest``
-    pass a full :class:`SupervisionPolicy` and collect the run's
+    ``on_failure`` ("raise" or "degrade") overrides the policy's quarantine
+    behaviour; ``policy``/``manifest`` pass a full
+    :class:`SupervisionPolicy` and collect the run's
     :class:`FailureManifest`.  A degraded suite omits quarantined cells (and
     any benchmark whose baseline was quarantined) -- see
     :func:`merge_suite_results`.
@@ -974,64 +880,51 @@ def run_suite_parallel(
     policy = resolve_supervision(policy, on_failure)
     names = list(benchmark_names)
     if distill:
-        # Pre-distill every benchmark's event stream in the parent, *before*
-        # the pool exists: forked workers inherit the store's memory layer and
-        # replay without capturing a trace or re-running the pre-pass (spawn
-        # workers read the entry back from disk).  Without this, the first
-        # wave of workers -- all landing on the same benchmark's modes --
-        # would each distill it concurrently.  The MAC tier (shared by every
-        # MAC-bearing mode) is precomputed here for the same reason.
-        from repro.sim import replaycore
-        from repro.sim.distill import distilled_events
-
-        precompute_tier = (
-            vector
-            and replaycore.HAVE_NUMPY
-            and any(mode_parameters(mode).mac_traffic for mode in ordered_modes(modes))
-        )
-        for name in names:
-            events = distilled_events(name, scale, seed, num_accesses, config)
-            if precompute_tier:
-                replaycore.distilled_mac_tier(events, config)
+        predistill_suite(names, modes, scale, num_accesses, seed, config, vector)
     tasks = suite_tasks(
         names, modes, scale, num_accesses, seed, config, options, distill, vector
     )
     results = parallel_map(
         _run_suite_task, tasks, jobs=jobs, policy=policy, manifest=manifest
     )
-    return merge_suite_results(tasks, results, modes)
+    return merge_suite_results(suite_pairs(names, modes), results, modes)
 
 
 def resolve_supervision(
-    policy: Optional[SupervisionPolicy], on_failure: Optional[str]
-) -> Optional[SupervisionPolicy]:
-    """Combine an explicit policy with an ``on_failure`` override.
+    policy: Optional[SupervisionPolicy], on_failure: Optional[str] = None
+) -> SupervisionPolicy:
+    """The policy a run executes under.
 
-    ``on_failure`` alone is enough to request supervision (the harness/CLI
-    surface it as ``--on-failure``); with neither set, supervision still
-    engages implicitly when a fault plan is active (see
-    :func:`_effective_policy`), and otherwise execution takes the plain
-    pool paths.
+    An explicit ``policy`` wins.  Without one, an activated :class:`FaultPlan`
+    (``REPRO_FAULT_PLAN``) implies the full ``SupervisionPolicy()`` -- the
+    chaos CI job sets the environment variable and every execution path
+    recovers, with no argument threading through harness/sweep/CLI -- and
+    otherwise the run gets :data:`DEFAULT_POLICY`.  ``on_failure`` (the
+    harness/CLI ``--on-failure``) overrides the quarantine behaviour, of the
+    full ``SupervisionPolicy()`` when no policy was passed.
     """
-    if on_failure is None:
+    if on_failure is not None:
+        base = policy if policy is not None else SupervisionPolicy()
+        return dataclasses.replace(base, on_failure=on_failure)
+    if policy is not None:
         return policy
-    import dataclasses
-
-    base = policy if policy is not None else _effective_policy(None)
-    if base is None:
-        base = SupervisionPolicy()
-    return dataclasses.replace(base, on_failure=on_failure)
+    if FaultPlan.active() is not None:
+        return SupervisionPolicy()
+    return DEFAULT_POLICY
 
 
 __all__ = [
     "SuiteResults",
     "SuiteTask",
+    "DEFAULT_POLICY",
     "SupervisedExecutor",
     "merge_suite_results",
     "parallel_map",
     "pipelined_map",
+    "predistill_suite",
     "resolve_jobs",
     "resolve_supervision",
     "run_suite_parallel",
+    "suite_pairs",
     "suite_tasks",
 ]

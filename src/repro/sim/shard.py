@@ -41,25 +41,25 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.sim.configs import (
-    BASELINE_MODE,
     EVALUATED_MODES,
     ModeLike,
     ModeParameters,
-    mode_label,
     mode_parameters,
 )
-from repro.sim.engine import (
-    EngineOptions,
-    EngineState,
-    SimulationEngine,
-    ordered_modes,
-)
+from repro.sim.engine import EngineOptions, EngineState, SimulationEngine
 from repro.sim.faults import FailureManifest, SupervisionPolicy, TaskFailure
-from repro.sim.parallel import parallel_map, pipelined_map, resolve_supervision
+from repro.sim.parallel import (
+    merge_suite_results,
+    parallel_map,
+    pipelined_map,
+    predistill_suite,
+    resolve_supervision,
+    suite_pairs,
+)
 from repro.sim.results import (
     LatencyBreakdown,
     SimulationResult,
@@ -833,7 +833,7 @@ def run_suite_sharded(
     resumed run replays the identical checkpoint sequence, so it is
     bit-identical to an uninterrupted run and a completed run spends its
     checkpoints (no residue).  ``policy``/``manifest``/``on_failure``
-    select supervised execution (see
+    set the supervision policy (see
     :func:`~repro.sim.parallel.parallel_map`); under
     ``on_failure="degrade"`` a quarantined step abandons only its own
     (benchmark, mode) chain, every other chain completes, and the merged
@@ -857,8 +857,7 @@ def run_suite_sharded(
         # of one redundant regeneration per worker.
         for name in names:
             stream_event_slices(name, scale, seed, num_accesses, stream, config)
-        labels = ordered_modes(modes)
-        pairs = [(name, label) for name in names for label in labels]
+        pairs = suite_pairs(names, modes)
         stream_chains = [
             stream_shard_chain(
                 name,
@@ -873,39 +872,13 @@ def run_suite_sharded(
             )
             for name, label in pairs
         ]
-        journal = _CheckpointJournal(stream_chains) if resume else None
-        if journal is not None:
-            stream_chains, initials = journal.restore()
-        else:
-            initials = None
-        finals = pipelined_map(
-            run_stream_shard_step,
-            stream_chains,
-            jobs=jobs,
-            policy=policy,
-            manifest=manifest,
-            initials=initials,
-            on_carry=journal.on_carry if journal is not None else None,
+        finals = _run_exact_chains(
+            run_stream_shard_step, stream_chains, jobs, policy, manifest, resume
         )
-        return _stitch_suite(pairs, finals, modes)
+        return merge_suite_results(pairs, finals, modes)
     if distill and spec.exact:
-        # Pre-distill in the parent so forked workers inherit the streams
-        # (and the shared MAC tier) through the store's memory layer (see
-        # run_suite_parallel).
-        from repro.sim import replaycore
-        from repro.sim.distill import distilled_events
-
-        precompute_tier = (
-            vector
-            and replaycore.HAVE_NUMPY
-            and any(mode_parameters(mode).mac_traffic for mode in ordered_modes(modes))
-        )
-        for name in names:
-            events = distilled_events(name, scale, seed, num_accesses, config)
-            if precompute_tier:
-                replaycore.distilled_mac_tier(events, config)
-    labels = ordered_modes(modes)
-    pairs = [(name, label) for name in names for label in labels]
+        predistill_suite(names, modes, scale, num_accesses, seed, config, vector)
+    pairs = suite_pairs(names, modes)
     chains = [
         shard_chain(
             name,
@@ -923,20 +896,7 @@ def run_suite_sharded(
     ]
 
     if spec.exact:
-        journal = _CheckpointJournal(chains) if resume else None
-        if journal is not None:
-            chains, initials = journal.restore()
-        else:
-            initials = None
-        finals = pipelined_map(
-            run_shard_step,
-            chains,
-            jobs=jobs,
-            policy=policy,
-            manifest=manifest,
-            initials=initials,
-            on_carry=journal.on_carry if journal is not None else None,
-        )
+        finals = _run_exact_chains(run_shard_step, chains, jobs, policy, manifest, resume)
     else:
         flat = [task for chain in chains for task in chain]
         outcomes = parallel_map(run_warm_shard, flat, jobs=jobs, policy=policy, manifest=manifest)
@@ -964,39 +924,32 @@ def run_suite_sharded(
                 )
             )
 
-    return _stitch_suite(pairs, finals, modes)
+    return merge_suite_results(pairs, finals, modes)
 
 
-def _stitch_suite(
-    pairs: Sequence[Tuple[str, str]],
-    finals: Sequence[Any],
-    modes: Sequence[ModeLike],
-) -> SuiteResults:
-    """Nest per-pair results into the suite shape and stitch baselines in.
-
-    Degrade-mode :class:`TaskFailure` sentinels are skipped, and a benchmark
-    whose NoProtect baseline was quarantined is dropped entirely (its
-    slowdowns would be unnormalisable) -- the same partial-results contract
-    as :func:`repro.sim.parallel.merge_suite_results`.
-    """
-    complete: SuiteResults = {}
-    for (name, label), result in zip(pairs, finals):
-        if result is None or isinstance(result, TaskFailure):
-            continue
-        complete.setdefault(name, {})[label] = result
-
-    requested = {mode_label(mode) for mode in modes}
-    suite: SuiteResults = {}
-    for name, per_mode in complete.items():
-        if BASELINE_MODE not in per_mode:
-            continue
-        baseline = per_mode[BASELINE_MODE].execution_time_ns
-        for result in per_mode.values():
-            result.baseline_time_ns = baseline
-        suite[name] = {
-            label: result for label, result in per_mode.items() if label in requested
-        }
-    return suite
+def _run_exact_chains(
+    step: Callable[[Any, Any], Any],
+    chains: List[List],
+    jobs: Optional[int],
+    policy: SupervisionPolicy,
+    manifest: Optional[FailureManifest],
+    resume: bool,
+) -> List[Any]:
+    """Pipeline checkpoint-handoff chains, resuming from and journaling
+    their in-flight checkpoints when ``resume`` is set."""
+    journal = _CheckpointJournal(chains) if resume else None
+    initials = None
+    if journal is not None:
+        chains, initials = journal.restore()
+    return pipelined_map(
+        step,
+        chains,
+        jobs=jobs,
+        policy=policy,
+        manifest=manifest,
+        initials=initials,
+        on_carry=journal.on_carry if journal is not None else None,
+    )
 
 
 __all__ = [

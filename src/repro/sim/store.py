@@ -198,7 +198,7 @@ def code_fingerprint() -> str:
 def export_code_fingerprint() -> str:
     """Publish the parent's fingerprint to the environment for workers.
 
-    Pool starters call this immediately before creating worker processes:
+    The executor calls this immediately before creating worker processes:
     spawn-start workers inherit the environment, so their first
     :func:`code_fingerprint` call returns the parent's value instead of
     re-hashing the entire package source per worker (fork workers inherit

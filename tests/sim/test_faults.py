@@ -408,6 +408,66 @@ class TestKeyboardInterruptCleanup:
         pytest.fail(f"orphaned workers survived SIGINT: {leftover}")
 
 
+_SIGKILL_SCRIPT = textwrap.dedent(
+    """
+    import os, sys, time
+
+    def work(i):
+        marker = os.path.join(sys.argv[1], f"pid-{os.getpid()}-{i}")
+        with open(marker, "w"):
+            pass
+        time.sleep(0.2)
+
+    if __name__ == "__main__":
+        from repro.sim.parallel import parallel_map
+        parallel_map(work, list(range(600)), jobs=2)
+    """
+)
+
+
+class TestParentDeath:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_exit_when_parent_is_killed(self, tmp_path):
+        """A SIGKILLed parent cannot clean up; its workers must notice and exit."""
+        script = tmp_path / "victim.py"
+        script.write_text(_SIGKILL_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (env.get("PYTHONPATH"), str(_SRC_DIR)) if p
+        )
+        # stderr goes to a file, not a pipe: orphaned workers would hold a
+        # pipe open and block the read.
+        errors = tmp_path / "stderr.txt"
+        with open(errors, "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, str(script), str(tmp_path)], env=env, stderr=stderr
+            )
+        try:
+            deadline = time.monotonic() + 60
+            pids = set()
+            while time.monotonic() < deadline and len(pids) < 2:
+                pids = {
+                    int(name.split("-")[1])
+                    for name in os.listdir(tmp_path)
+                    if name.startswith("pid-")
+                }
+                assert proc.poll() is None, errors.read_text()
+                time.sleep(0.05)
+            assert len(pids) >= 2, "workers never started"
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            if not any(_running(pid) for pid in pids):
+                return
+            time.sleep(0.05)
+        leftover = [pid for pid in pids if _running(pid)]
+        for pid in leftover:  # do not leak them into the rest of the suite
+            os.kill(pid, signal.SIGKILL)
+        pytest.fail(f"orphaned workers outlived their killed parent: {leftover}")
+
+
 _SRC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
 )
@@ -419,3 +479,12 @@ def _alive(pid):
     except OSError:
         return False
     return True
+
+
+def _running(pid):
+    """Alive and not a zombie: an orphan's new parent may reap it late."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

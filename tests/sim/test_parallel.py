@@ -9,6 +9,7 @@ import pytest
 from repro.sim import parallel as parallel_module
 from repro.sim.configs import EVALUATED_MODES, LATENCY_MODES, ProtectionMode
 from repro.sim.engine import run_suite
+from repro.sim.faults import TaskFailedError
 from repro.sim.parallel import (
     parallel_map,
     pipelined_map,
@@ -147,68 +148,65 @@ def _chain_step(task, carry):
     return (carry or 0) + task
 
 
-class _FlakyPool:
-    """Real pool whose apply_async starts raising after N successful calls.
-
-    Models ``apply_async`` on a pool that began closing -- the failure mode
-    that used to kill the result-handler callback with ``done`` never set.
-    """
-
-    def __init__(self, real, fail_after):
-        self._real = real
-        self._fail_after = fail_after
-        self._calls = 0
-
-    def apply_async(self, *args, **kwargs):
-        self._calls += 1
-        if self._calls > self._fail_after:
-            raise ValueError("Pool not running")
-        return self._real.apply_async(*args, **kwargs)
-
-    def __enter__(self):
-        self._real.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        return self._real.__exit__(*exc)
+def _raising_step(task, carry):
+    if task == 20:
+        raise ValueError("step 20 failed")
+    return (carry or 0) + task
 
 
-class _FlakyContext:
-    def __init__(self, real_context, fail_after):
-        self._real_context = real_context
-        self._fail_after = fail_after
+def _raise_value_error(task):
+    if task == 3:
+        raise ValueError(f"bad task {task}")
+    return task
 
-    def Pool(self, processes):
-        return _FlakyPool(self._real_context.Pool(processes), self._fail_after)
+
+def _within_timeout(call, *args, **kwargs):
+    """Run ``call`` on a helper thread: a regression that deadlocks the
+    executor fails the test instead of hanging the suite."""
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        return executor.submit(call, *args, **kwargs).result(timeout=60)
 
 
 class TestPipelinedMapErrorPaths:
-    """A raising completion callback must raise to the caller, never hang."""
+    """A failure in a step or in ``on_carry`` reaches the caller, never hangs."""
 
-    CHAINS = [[1, 2], [10, 20]]  # 2 chains so the pooled (non-serial) path runs
+    CHAINS = [[1, 2], [10, 20]]  # 2 chains so the multi-worker path runs
 
-    def _run_with_failure(self, monkeypatch, fail_after):
-        real = parallel_module._pool_context()
-        monkeypatch.setattr(
-            parallel_module, "_pool_context", lambda: _FlakyContext(real, fail_after)
-        )
-        # A regression here deadlocks rather than fails; run the call on a
-        # worker thread with a timeout so the suite sees an error, not a hang.
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            future = executor.submit(pipelined_map, _chain_step, self.CHAINS, 2)
-            with pytest.raises(ValueError, match="Pool not running"):
-                future.result(timeout=60)
+    def test_raising_on_carry_reaches_caller(self):
+        def on_carry(chain_index, step_index, carry):
+            if step_index == 0:
+                raise RuntimeError("journal write failed")
 
-    def test_callback_submit_failure_raises_not_deadlocks(self, monkeypatch):
-        # Both initial submissions succeed; the *callback-thread* submission
-        # of each chain's second step raises -- the historical deadlock.
-        self._run_with_failure(monkeypatch, fail_after=2)
+        with pytest.raises(RuntimeError, match="journal write failed"):
+            _within_timeout(
+                pipelined_map, _chain_step, self.CHAINS, jobs=2, on_carry=on_carry
+            )
 
-    def test_initial_submit_failure_raises_not_deadlocks(self, monkeypatch):
-        self._run_with_failure(monkeypatch, fail_after=1)
+    def test_raising_step_reaches_caller(self):
+        with pytest.raises(TaskFailedError, match="step 20 failed") as info:
+            _within_timeout(pipelined_map, _raising_step, self.CHAINS, jobs=2)
+        assert info.value.record.reason == "exception"
 
     def test_pipelined_map_still_correct(self):
         assert pipelined_map(_chain_step, self.CHAINS, jobs=2) == [3, 30]
+
+
+class TestDefaultPolicy:
+    """Without a policy a raising task aborts the map as TaskFailedError."""
+
+    def test_worker_exception_is_task_failed_error(self):
+        with pytest.raises(TaskFailedError) as info:
+            _within_timeout(parallel_map, _raise_value_error, list(range(6)), jobs=2)
+        assert info.value.record.reason == "exception"
+        assert info.value.record.attempts == 1
+        assert "ValueError: bad task 3" in str(info.value)
+
+    def test_inline_exception_chains_the_original(self):
+        with pytest.raises(TaskFailedError) as info:
+            parallel_map(_raise_value_error, list(range(6)), jobs=1)
+        assert info.value.record.reason == "exception"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "bad task 3"
 
 
 def _spawn_fingerprint_probe(_task):
@@ -254,7 +252,10 @@ class TestFingerprintExport:
         # that re-hashed the package source would return a real 64-char
         # digest instead.
         monkeypatch.setenv(CODE_FINGERPRINT_ENV, "pinned-by-parent")
-        ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(processes=2) as pool:
-            observed = pool.map(_spawn_fingerprint_probe, range(4), chunksize=1)
+        monkeypatch.setattr(
+            parallel_module,
+            "_pool_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        observed = parallel_map(_spawn_fingerprint_probe, range(4), jobs=2)
         assert observed == ["pinned-by-parent"] * 4
