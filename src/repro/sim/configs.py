@@ -241,13 +241,16 @@ class ModeParameters:
     def scalar_replay_components(self) -> Tuple[str, ...]:
         """Component families the vectorized replay must run scalar.
 
-        These are the stateful parts of the stack -- each access's cost
-        depends on simulator state the previous accesses mutated -- so the
-        batch kernels cannot lift them out of the per-event loop.
+        Toleo stealth freshness has no batch kernel: its device state (Trip
+        formats, seeded resets, a usage sampler) evolves with every update.
+        The counter tree and EPC paging are batched from their verdict tiers
+        -- except next to stealth freshness, whose scalar hooks also write
+        ``freshness_ns``: one float accumulator keeps one fold, so they join
+        it in the residual loop.
         """
-        kinds = []
-        if self.stealth_traffic:
-            kinds.append("stealth-freshness")
+        if not self.stealth_traffic:
+            return ()
+        kinds = ["stealth-freshness"]
         if self.counter_tree is not None:
             kinds.append("counter-tree")
         if self.epc_paging is not None:
@@ -256,11 +259,11 @@ class ModeParameters:
 
     @property
     def batch_replay_safe(self) -> bool:
-        """Whether the mode's whole stack is constant-cost per event.
+        """Whether the vectorized replay runs the mode without a scalar loop.
 
-        True means every component the mode builds has a numpy batch kernel
-        and no ``access_period`` sampler, so the vectorized replay runs no
-        scalar residual loop at all.
+        True means every component the mode builds is handled by a numpy
+        batch kernel (stateful ones through their verdict tiers) and none
+        declares an ``access_period`` sampler.
         """
         return not self.scalar_replay_components
 

@@ -655,8 +655,10 @@ def compare_modes(
         if distill:
             events = HierarchyDistiller(config).distill(trace, num_accesses)
 
-    # The events were distilled in-process, so the shared MAC tier is too
-    # (no store round-trip): one tier serves every MAC-bearing mode below.
+    # The events were distilled in-process, so the verdict tiers are too
+    # (no store round-trip: a caller's workload factory need not be the
+    # registry trace the stream's name would key).  One MAC tier serves
+    # every MAC-bearing mode below.
     tier = None
     if (
         vector
@@ -674,7 +676,9 @@ def compare_modes(
             state = engine.begin(events, num_accesses)
             if engine.distillable(state.components):
                 if vector and replaycore.vectorizable(state.components):
-                    replaycore.BatchReplayEngine(engine, events, tier=tier).replay(state)
+                    replaycore.BatchReplayEngine(
+                        engine, events, tier=tier, local=True
+                    ).replay(state)
                 else:
                     engine.replay_events(state, events)
             else:

@@ -750,11 +750,10 @@ def run_sharded(
         events = HierarchyDistiller(config).distill(trace, total) if distill else None
         replayer = None
         if vector and events is not None and replaycore.HAVE_NUMPY:
-            # The events were distilled in-process (no store), so the MAC
-            # tier is computed in-process too instead of round-tripping
-            # through the default store.
-            tier = replaycore.compute_mac_tier(events, config) if params.mac_traffic else None
-            replayer = replaycore.BatchReplayEngine(engine, events, tier=tier)
+            # The events were distilled in-process (no store), so the
+            # verdict tiers are computed in-process too instead of
+            # round-tripping through the default store.
+            replayer = replaycore.BatchReplayEngine(engine, events, local=True)
         carry: Optional[bytes] = None
         state: Optional[EngineState] = None
         for _, stop in bounds:
