@@ -39,8 +39,7 @@ across invocations unless ``--no-cache`` is given.  ``sweep`` expands
 ``--param key=v1,v2,...`` axes into a cartesian grid and runs every point
 through the same parallel fan-out and persistent store.  ``--shard-size N``
 additionally splits each pair's trace into N-access shards pipelined across
-the workers (bit-identical checkpoint handoff by default; ``--shard-warmup``
-selects the approximate independent-shard path).  Multi-mode runs pay the
+the workers (bit-identical checkpoint handoff).  Multi-mode runs pay the
 cache hierarchy once per benchmark by default -- a fast pre-pass distills
 the trace into a mode-independent miss-event stream that every mode replays
 from (bit-identical results; ``--no-distill`` forces the full per-access
@@ -271,17 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="split each (benchmark, mode) trace into N-access shards "
-        "pipelined across the workers; the default checkpoint handoff is "
+        "pipelined across the workers; the checkpoint handoff is "
         "bit-identical to an unsharded run (bench/sweep only)",
-    )
-    parser.add_argument(
-        "--shard-warmup",
-        type=int,
-        default=None,
-        metavar="W",
-        help="run shards independently, each warmed on the W accesses before "
-        "its window -- approximate (gated drift) but handoff-free; "
-        "requires --shard-size (bench only)",
     )
     parser.add_argument(
         "--stream",
@@ -292,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace -- distill it window by window (W accesses per window) into "
         "persistent event-slice entries that the shard tasks replay from; "
         "bit-identical to the captured run and served from the same store "
-        "entries (bench/sweep only; exact path, so it cannot combine with "
-        "--shard-warmup)",
+        "entries (bench/sweep only)",
     )
     parser.add_argument(
         "--no-distill",
@@ -491,7 +480,6 @@ def run_bench(args: argparse.Namespace) -> str:
             use_cache=not args.no_cache,
             jobs=args.jobs,
             shard_size=args.shard_size,
-            shard_warmup=args.shard_warmup,
             distill=not args.no_distill,
             vector=not args.no_vector,
             stream=args.stream,
@@ -525,12 +513,7 @@ def run_bench(args: argparse.Namespace) -> str:
     throughput = replayed * args.accesses / replay_elapsed if replay_elapsed > 0 else 0.0
     sharding = ""
     if args.shard_size is not None:
-        discipline = (
-            "exact checkpoint handoff"
-            if args.shard_warmup is None
-            else f"warm-up {args.shard_warmup}"
-        )
-        sharding = f", shard {args.shard_size} ({discipline})"
+        sharding = f", shard {args.shard_size} (exact checkpoint handoff)"
     if args.stream is not None:
         sharding += f", stream {args.stream} (windowed event slices)"
     precompute_note = f", mac-tier {precompute:.2f}s excluded" if precompute >= 0.005 else ""
@@ -553,10 +536,6 @@ def run_sweep_command(args: argparse.Namespace) -> str:
         raise SweepAxisError(
             "sweep needs at least one --param axis, "
             "e.g. --param options.memory_level_parallelism=1,4,8"
-        )
-    if args.shard_warmup is not None:
-        raise SweepAxisError(
-            "sweep runs only the exact sharded path; --shard-warmup is bench-only"
         )
     axes = [parse_axis(spec) for spec in args.param]
     benchmarks = _resolve_benchmarks(args)
@@ -675,17 +654,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.shard_size is not None and args.shard_size <= 0:
         parser.error(f"--shard-size must be positive, got {args.shard_size}")
-    if args.shard_warmup is not None and args.shard_warmup < 0:
-        parser.error(f"--shard-warmup must be non-negative, got {args.shard_warmup}")
-    if args.shard_warmup is not None and args.shard_size is None:
-        parser.error("--shard-warmup requires --shard-size")
     if args.stream is not None and args.stream <= 0:
         parser.error(f"--stream must be positive, got {args.stream}")
-    if args.stream is not None and args.shard_warmup is not None:
-        parser.error(
-            "--stream is exact by construction and cannot combine with the "
-            "approximate --shard-warmup path"
-        )
     if args.stream is not None and args.experiment not in ("bench", "sweep"):
         parser.error("--stream only applies to bench and sweep")
     if args.task_deadline is not None and args.task_deadline <= 0:

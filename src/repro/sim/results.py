@@ -261,7 +261,6 @@ def suite_key(
     seed: int,
     config: Any,
     options: Any,
-    sharding: Any = None,
 ) -> str:
     """Content hash of a suite run; includes config/options (the old dict
     cache omitted them, so e.g. a down-scaled Redis config could be handed
@@ -274,19 +273,17 @@ def suite_key(
     registry is open, so ``register_mode(..., replace=True)`` must
     invalidate cached results computed under the previous registration.
 
-    ``sharding`` is the execution discipline's key contribution
-    (``ShardSpec.key_fields()``): ``None`` -- for unsharded runs *and* for
-    exact checkpoint-handoff sharded runs, which are bit-identical to them --
-    leaves the key unchanged, so cached unsharded results stay valid and are
-    shared across shard widths.  Only the approximate warm-up path changes
-    the numbers, and therefore the key.
+    No execution strategy enters the key: parallel, sharded, distilled,
+    vectorized and streamed runs are all bit-identical to the serial engine,
+    so they serve each other's entries.
     """
     from repro.sim.configs import mode_parameters
     from repro.sim.store import content_key
 
     labels = [mode_label(mode) for mode in modes]
     keyed_modes = list(dict.fromkeys([BASELINE_MODE, *labels]))
-    params: Dict[str, Any] = dict(
+    return content_key(
+        "suite",
         benchmarks=list(names),
         modes=labels,
         mode_params={label: mode_parameters(label) for label in keyed_modes},
@@ -296,10 +293,6 @@ def suite_key(
         config=config,
         options=options,
     )
-    if sharding is not None:
-        # Appended conditionally so every pre-sharding key is preserved.
-        params["sharding"] = sharding
-    return content_key("suite", **params)
 
 
 __all__ = [

@@ -36,8 +36,9 @@ def calibrated_instruction_count(
     num_accesses)`` in floor-difference form, which telescopes: the
     uncalibrated counts of a contiguous partition always sum to exactly the
     whole trace's count.  :meth:`Workload.instruction_count`,
-    :meth:`Trace.instruction_count` and the shard merge all route through
-    here so the calibration can never drift between them.
+    :meth:`Trace.instruction_count` and
+    :meth:`~repro.sim.distill.MissEventStream.instruction_count` all route
+    through here so the calibration can never drift between them.
     """
     if llc_misses is not None and llc_mpki > 0:
         calibrated = int(llc_misses * 1000.0 / llc_mpki)

@@ -1,10 +1,9 @@
 """Differential tests for sharded trace execution (`repro.sim.shard`).
 
-The design center of the sharding subsystem is *exactness*: the default
-checkpoint-handoff discipline must be bit-identical to the serial engine for
+The design center of the sharding subsystem is *exactness*: the
+checkpoint-handoff chain must be bit-identical to the serial engine for
 every registered mode (seed modes and registry-only variants alike) at any
-shard width, and the opt-in warm-up discipline must stay inside its declared
-drift gate.  These tests are the pin: every field of every result is compared
+shard width.  These tests are the pin: every field of every result is compared
 through ``SimulationResult.to_dict()`` -- floats included, no tolerance.
 """
 
@@ -16,15 +15,18 @@ import repro.sim  # noqa: F401  -- registers the variant modes
 from repro.core.config import KIB, CacheConfig, SystemConfig
 from repro.sim.configs import registered_modes
 from repro.sim.engine import EngineState, SimulationEngine, run_suite
-from repro.sim.results import suite_key
+from repro.sim.engine import EngineOptions
 from repro.sim.shard import (
-    WARMUP_DRIFT_GATE,
     ShardSpec,
+    ShardTask,
+    _CheckpointJournal,
+    checkpoint_key,
     run_shard_step,
     run_sharded,
     run_suite_sharded,
     shard_bounds,
     shard_chain,
+    stream_shard_chain,
 )
 from repro.sim.store import ResultStore
 from repro.workloads.registry import get_workload
@@ -84,75 +86,6 @@ class TestExactShardingIsBitIdentical:
         serial = SimulationEngine.from_mode("Toleo", seed=3).run(trace, num_accesses=2000)
         sharded = run_sharded("Toleo", trace, ShardSpec(700), seed=3)
         assert sharded.to_dict() == serial.to_dict()
-
-
-class TestWarmupStaysInsideDriftGate:
-    """The approximate path honours its declared accuracy contract."""
-
-    @pytest.mark.parametrize("mode", ("CI", "Toleo", "CIF-Tree", "Client-SGX"))
-    def test_drift_gate(self, mode, trace, serial_results):
-        serial = serial_results[mode]
-        warm = run_sharded(
-            mode,
-            trace,
-            ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN // 2),
-            config=SMALL_CONFIG,
-            seed=7,
-        )
-        # The declared gate covers execution time (the metric every figure
-        # reports); traffic is bursty on tiny traces (EPC page-ins come 4 KiB
-        # at a time), so it gets twice the headroom.
-        drift = abs(warm.execution_time_ns - serial.execution_time_ns)
-        assert drift <= WARMUP_DRIFT_GATE * serial.execution_time_ns
-        byte_drift = abs(warm.traffic.total_bytes - serial.traffic.total_bytes)
-        assert byte_drift <= 2 * WARMUP_DRIFT_GATE * serial.traffic.total_bytes
-
-    def test_warmup_timeline_has_no_duplicated_samples(self, trace, serial_results):
-        # Each shard's warm-up replay covers indices the previous shard
-        # measures; its timeline samples over that window must be dropped
-        # before the merge concatenates, or the merged Toleo usage timeline
-        # roughly doubles (a sawtooth Figure-12 curve).
-        serial = serial_results["Toleo"]
-        warm = run_sharded(
-            "Toleo",
-            trace,
-            ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN // 2),
-            config=SMALL_CONFIG,
-            seed=7,
-        )
-        n_shards = len(shard_bounds(TRACE_LEN, TRACE_LEN // 4))
-        assert 0 < len(warm.toleo_usage_timeline) <= (
-            len(serial.toleo_usage_timeline) + n_shards
-        )
-
-    def test_full_prefix_warmup_converges_to_serial(self, trace, serial_results):
-        # warmup >= the whole preceding prefix makes each shard's start state
-        # exact, so the only remaining error is delta re-summation (float
-        # round-off) -- the merged time must sit tightly on the serial value.
-        serial = serial_results["Toleo"]
-        warm = run_sharded(
-            "Toleo",
-            trace,
-            ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN),
-            config=SMALL_CONFIG,
-            seed=7,
-        )
-        drift = abs(warm.execution_time_ns - serial.execution_time_ns)
-        assert drift <= 1e-6 * serial.execution_time_ns
-
-    def test_zero_warmup_is_allowed_but_cold(self, trace, serial_results):
-        # warmup=0 is the fully independent extreme; it must still run and
-        # merge into a structurally sane result (cold shards see *more* LLC
-        # misses but *fewer* dirty writebacks, so no byte-count assertion
-        # holds -- that is exactly why warm-up is opt-in and gated).
-        warm = run_sharded(
-            "CI", trace, ShardSpec(TRACE_LEN // 4, warmup=0), config=SMALL_CONFIG, seed=7
-        )
-        serial = serial_results["CI"]
-        assert warm.accesses == TRACE_LEN
-        assert warm.llc_misses >= serial.llc_misses
-        assert warm.execution_time_ns > 0
-        assert warm.traffic.total_bytes > 0
 
 
 class TestSuiteShardedExecution:
@@ -218,6 +151,122 @@ class TestCheckpointHandoff:
             EngineState.deserialize(pickle.dumps({"not": "a state"}))
 
 
+class TestCheckpointKey:
+    """Checkpoints are keyed by the strategy that built them.
+
+    A vectorized checkpoint leaves component caches untouched, and a
+    streamed checkpoint belongs to its slice window, so a resume must never
+    seed one strategy's replay from another's checkpoint -- even at the same
+    window ``stop``.
+    """
+
+    ARGS = ("bsw", "CI", ShardSpec(100), 0.002, 300, 7)
+
+    def first_tasks(self):
+        return {
+            "undistilled": shard_chain(*self.ARGS)[0],
+            "distilled-scalar": shard_chain(*self.ARGS, distill=True)[0],
+            "distilled-vector": shard_chain(*self.ARGS, distill=True, vector=True)[0],
+            "streamed-50": stream_shard_chain(*self.ARGS, 50)[0],
+            "streamed-100": stream_shard_chain(*self.ARGS, 100)[0],
+        }
+
+    def test_strategies_key_distinctly_at_the_same_stop(self):
+        tasks = self.first_tasks()
+        assert {task.stop for task in tasks.values()} == {100}
+        keys = {label: checkpoint_key(task) for label, task in tasks.items()}
+        assert len(set(keys.values())) == len(keys), keys
+
+    def test_equal_tasks_key_equally(self):
+        again = self.first_tasks()
+        for label, task in self.first_tasks().items():
+            assert checkpoint_key(task) == checkpoint_key(again[label])
+
+    def test_untyped_task_rejected(self):
+        with pytest.raises(TypeError, match="not a shard task"):
+            checkpoint_key(tuple(shard_chain(*self.ARGS)[0]))
+
+    def test_every_window_of_every_strategy_keys_distinctly(self):
+        chains = (
+            shard_chain(*self.ARGS),
+            shard_chain(*self.ARGS, distill=True),
+            shard_chain(*self.ARGS, distill=True, vector=True),
+            stream_shard_chain(*self.ARGS, 50),
+            stream_shard_chain(*self.ARGS, 100),
+        )
+        keys = [checkpoint_key(task) for chain in chains for task in chain]
+        assert len(keys) == 5 * 3
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        (
+            ("name", "memcached"),
+            ("params", "Toleo"),
+            ("scale", 0.004),
+            ("num_accesses", 400),
+            ("seed", 8),
+            ("config", SMALL_CONFIG),
+            ("options", EngineOptions(base_cpi=0.7)),
+        ),
+    )
+    def test_every_prefix_identity_field_reaches_the_key(self, field, value):
+        # A checkpoint stands for one exact prefix: a chain that differs in
+        # any identity field must never resume from it.
+        task = shard_chain(*self.ARGS)[0]
+        if field == "params":
+            value = shard_chain("bsw", value, ShardSpec(100), 0.002, 300, 7)[0].params
+        assert checkpoint_key(task._replace(**{field: value})) != checkpoint_key(task)
+
+    def test_vector_without_distill_is_the_undistilled_path(self):
+        # ``vector`` only applies on top of distillation, so the flag alone
+        # neither changes the chain nor its checkpoints.
+        plain = shard_chain(*self.ARGS)
+        flagged = shard_chain(*self.ARGS, vector=True)
+        assert flagged == plain
+        assert [checkpoint_key(t) for t in flagged] == [checkpoint_key(t) for t in plain]
+
+    def test_keys_live_in_the_checkpoint_namespace(self):
+        for task in self.first_tasks().values():
+            assert checkpoint_key(task).startswith("checkpoint-")
+
+
+class TestCheckpointJournalStrategies:
+    """A resume only ever restores a checkpoint of its own strategy."""
+
+    ARGS = ("bsw", "CI", ShardSpec(100), 0.002, 300, 7)
+
+    def chains(self):
+        return {
+            "undistilled": shard_chain(*self.ARGS),
+            "distilled-scalar": shard_chain(*self.ARGS, distill=True),
+            "distilled-vector": shard_chain(*self.ARGS, distill=True, vector=True),
+            "streamed-100": stream_shard_chain(*self.ARGS, 100),
+        }
+
+    def journal_one_checkpoint(self, store, label):
+        journal = _CheckpointJournal([self.chains()[label]], store=store)
+        journal.restore()
+        journal.on_carry(0, 0, b"state after the first window")
+
+    def test_own_checkpoint_is_restored(self, tmp_path):
+        store = ResultStore(tmp_path)
+        self.journal_one_checkpoint(store, "distilled-vector")
+        chain = self.chains()["distilled-vector"]
+        (trimmed,), (carry,) = _CheckpointJournal([chain], store=store).restore()
+        assert trimmed == chain[1:]
+        assert carry == b"state after the first window"
+
+    @pytest.mark.parametrize("other", ("undistilled", "distilled-scalar", "streamed-100"))
+    def test_other_strategy_checkpoint_is_ignored(self, tmp_path, other):
+        store = ResultStore(tmp_path)
+        self.journal_one_checkpoint(store, "distilled-vector")
+        chain = self.chains()[other]
+        (whole,), (carry,) = _CheckpointJournal([chain], store=store).restore()
+        assert whole == chain
+        assert carry is None
+
+
 class TestShardPlanning:
     def test_bounds_cover_and_partition(self):
         bounds = shard_bounds(10, 3)
@@ -233,30 +282,29 @@ class TestShardPlanning:
         with pytest.raises(ValueError, match="shard_size"):
             ShardSpec(bad)
 
-    def test_negative_warmup_rejected(self):
-        with pytest.raises(ValueError, match="warmup"):
-            ShardSpec(10, warmup=-1)
+    def test_spec_is_frozen(self):
+        spec = ShardSpec(10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.shard_size = 0
+
+    def test_task_carries_identity_window_and_strategy(self):
+        assert ShardTask._fields == (
+            "name",
+            "params",
+            "scale",
+            "num_accesses",
+            "seed",
+            "config",
+            "options",
+            "start",
+            "stop",
+            "distill",
+            "vector",
+        )
 
 
 class TestStoreKeySemantics:
-    """Exact sharding shares unsharded cache entries; warm-up does not."""
-
-    ARGS = (("bsw",), ("CI",), 0.002, 2000, 1234, None, None)
-
-    def test_exact_sharding_preserves_the_unsharded_key(self):
-        unsharded = suite_key(*self.ARGS)
-        exact = suite_key(*self.ARGS, sharding=ShardSpec(500).key_fields())
-        assert exact == unsharded
-
-    def test_warmup_sharding_changes_the_key(self):
-        unsharded = suite_key(*self.ARGS)
-        warm = suite_key(*self.ARGS, sharding=ShardSpec(500, warmup=100).key_fields())
-        assert warm != unsharded
-
-    def test_different_warmups_key_differently(self):
-        a = suite_key(*self.ARGS, sharding=ShardSpec(500, warmup=100).key_fields())
-        b = suite_key(*self.ARGS, sharding=ShardSpec(500, warmup=200).key_fields())
-        assert a != b
+    """Sharded runs share unsharded cache entries."""
 
     def test_sharded_bench_served_from_unsharded_cache(self, tmp_path):
         from repro.experiments.harness import run_benchmarks
@@ -275,13 +323,6 @@ class TestStoreKeySemantics:
         )
         # Same key, memory layer preserves identity: no re-simulation happened.
         assert sharded is unsharded
-
-    def test_warmup_requires_shard_size(self):
-        from repro.experiments.harness import run_benchmarks
-
-        with pytest.raises(ValueError, match="shard_warmup needs shard_size"):
-            run_benchmarks(("bsw",), modes=("CI",), num_accesses=100, shard_warmup=50)
-
 
 class TestShardSizeSweepAxis:
     def test_shard_size_is_a_run_axis(self):
@@ -354,13 +395,8 @@ class TestShardSizeSweepAxis:
     @pytest.mark.parametrize(
         "argv, message",
         (
-            (["bench", "--shard-warmup", "100"], "--shard-warmup requires --shard-size"),
             (["bench", "--shard-size", "0"], "--shard-size must be positive"),
             (["bench", "--shard-size", "-5"], "--shard-size must be positive"),
-            (
-                ["bench", "--shard-size", "10", "--shard-warmup", "-1"],
-                "--shard-warmup must be non-negative",
-            ),
         ),
     )
     def test_cli_shard_flag_misuse_is_a_usage_error(self, capsys, argv, message):
@@ -371,121 +407,12 @@ class TestShardSizeSweepAxis:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ("bench", "sweep"))
+    def test_cli_has_no_warmup_flag(self, capsys, command):
+        # Exact checkpoint handoff is the only shard discipline.
+        from repro.cli import main
 
-class TestWarmShardTelemetryMerge:
-    """Regression pins for the `merge_warm_shards` telemetry bugfix sweep.
-
-    The warm-path merge used to build its telemetry dict by update() in
-    shard order, so every count field (Trip format mix, Toleo usage/peak
-    bytes) silently reported only the *last* shard's window.  Counts must
-    sum across shards -- dicts element-wise, scalars directly -- and ratio
-    fields must be either present in every shard or in none.
-    """
-
-    @staticmethod
-    def make_counters(telemetry, llc_misses=10, llc_read_misses=8, writebacks=2):
-        from repro.sim.results import LatencyBreakdown, TrafficBreakdown
-        from repro.sim.shard import ShardCounters
-
-        return ShardCounters(
-            llc_misses=llc_misses,
-            llc_read_misses=llc_read_misses,
-            writebacks=writebacks,
-            traffic=TrafficBreakdown(),
-            latency=LatencyBreakdown(),
-            llc_mpki=2.0,
-            instructions_per_access=3.0,
-            telemetry=telemetry,
-        )
-
-    @staticmethod
-    def merge(shards):
-        from repro.sim.configs import mode_parameters
-        from repro.sim.shard import merge_warm_shards
-
-        return merge_warm_shards(
-            "memcached", mode_parameters("Toleo"), 100, shards, seed=7
-        )
-
-    def test_dict_telemetry_sums_element_wise_across_shards(self):
-        merged = self.merge(
-            [
-                self.make_counters(
-                    {
-                        "trip_format_counts": {"full": 3, "half": 1},
-                        "toleo_usage_bytes": {"flat": 100, "dynamic": 40},
-                    }
-                ),
-                self.make_counters(
-                    {
-                        "trip_format_counts": {"full": 2, "quarter": 5},
-                        "toleo_usage_bytes": {"flat": 60},
-                    }
-                ),
-            ]
-        )
-        assert merged.trip_format_counts == {"full": 5, "half": 1, "quarter": 5}
-        assert merged.toleo_usage_bytes == {"flat": 160, "dynamic": 40}
-
-    def test_scalar_count_telemetry_sums_across_shards(self):
-        merged = self.merge(
-            [
-                self.make_counters({"toleo_peak_bytes": 1000}),
-                self.make_counters({"toleo_peak_bytes": 2500}),
-                self.make_counters({"toleo_peak_bytes": 500}),
-            ]
-        )
-        assert merged.toleo_peak_bytes == 4000
-
-    def test_mixed_rate_field_presence_raises(self):
-        shards = [
-            self.make_counters({"mac_cache_hit_rate": 0.5}),
-            self.make_counters({}),
-        ]
-        with pytest.raises(ValueError, match="all-or-nothing"):
-            self.merge(shards)
-
-    def test_rate_fields_merge_miss_weighted(self):
-        shards = [
-            self.make_counters({"mac_cache_hit_rate": 0.25}, llc_read_misses=30, writebacks=0),
-            self.make_counters({"mac_cache_hit_rate": 0.75}, llc_read_misses=10, writebacks=0),
-        ]
-        merged = self.merge(shards)
-        assert merged.mac_cache_hit_rate == pytest.approx((0.25 * 30 + 0.75 * 10) / 40)
-
-    def test_merged_instruction_count_uses_the_shared_calibration(self):
-        from repro.workloads.base import calibrated_instruction_count
-
-        shards = [self.make_counters({}, llc_misses=40), self.make_counters({}, llc_misses=25)]
-        merged = self.merge(shards)
-        assert merged.instructions == calibrated_instruction_count(
-            100, 2.0, 3.0, llc_misses=65
-        )
-
-    def test_end_to_end_warm_counts_are_the_shard_sum(self, trace):
-        # Replicate the warm path's per-shard counter extraction and pin the
-        # merged result's count telemetry to the element-wise shard sums.
-        from repro.sim.shard import _warm_shard_counters
-
-        spec = ShardSpec(TRACE_LEN // 4, warmup=TRACE_LEN // 4)
-        engine = SimulationEngine.from_mode("Toleo", config=SMALL_CONFIG, seed=7)
-        counters = [
-            _warm_shard_counters(engine, trace, TRACE_LEN, start, stop, spec.warmup)
-            for start, stop in shard_bounds(TRACE_LEN, spec.shard_size)
-        ]
-        warm = run_sharded("Toleo", trace, spec, config=SMALL_CONFIG, seed=7)
-
-        expected_formats = {}
-        for c in counters:
-            for fmt, count in c.telemetry["trip_format_counts"].items():
-                expected_formats[fmt] = expected_formats.get(fmt, 0) + count
-        assert warm.trip_format_counts == expected_formats
-        assert warm.toleo_peak_bytes == sum(
-            c.telemetry["toleo_peak_bytes"] for c in counters
-        )
-        expected_usage = {}
-        for c in counters:
-            for bucket, count in c.telemetry["toleo_usage_bytes"].items():
-                expected_usage[bucket] = expected_usage.get(bucket, 0) + count
-        assert warm.toleo_usage_bytes == expected_usage
-        assert len(counters) > 1  # the pin is vacuous with a single shard
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--shard-size", "400", "--shard-warmup", "10"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shard-warmup" in capsys.readouterr().err

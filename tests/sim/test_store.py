@@ -1,6 +1,7 @@
 """Tests for the persistent result store and its content-hash keys."""
 
 import dataclasses
+import inspect
 import json
 import os
 import sqlite3
@@ -223,6 +224,69 @@ class TestResultStore:
         assert set(store.disk_keys()) == {"suite-aa", "space-bb"}
 
 
+class TestOverwrite:
+    def test_put_replaces_an_existing_disk_entry(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k", {"x": 1}, encoder=lambda v: v)
+        store.put("k", {"x": 2}, encoder=lambda v: v)
+        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) == {"x": 2}
+        assert list(ResultStore(tmp_path).disk_keys()) == ["k"]
+
+    def test_overwrite_releases_the_replaced_blob(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k", {"data": "z" * (INLINE_LIMIT + 1)}, encoder=lambda v: v)
+        assert len(list(store.blob_dir.glob("*.json"))) == 1
+        store.put("k", {"x": 1}, encoder=lambda v: v)
+        assert list(store.blob_dir.glob("*.json")) == []
+        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) == {"x": 1}
+
+    def test_rewriting_the_same_spilled_payload_keeps_its_blob(self, tmp_path):
+        store = ResultStore(tmp_path)
+        payload = {"data": "z" * (INLINE_LIMIT + 1)}
+        store.put("k", payload, encoder=lambda v: v)
+        store.put("k", payload, encoder=lambda v: v)
+        assert len(list(store.blob_dir.glob("*.json"))) == 1
+        assert ResultStore(tmp_path).get("k", decoder=lambda p: p) == payload
+
+    def test_write_row_keeps_its_positional_signature(self):
+        # Instrumentation wraps ``_write_row`` positionally to count writer
+        # transactions; the three-argument shape is part of that contract.
+        params = list(inspect.signature(ResultStore._write_row).parameters)
+        assert params == ["self", "conn", "key", "payload_text"]
+
+
+class TestDirectoryWithoutIndex:
+    """Reads never materialise an index (or the directory) that is not there."""
+
+    READS = {
+        "get": lambda store: store.get("suite-aa", decoder=lambda p: p),
+        "contains": lambda store: "suite-aa" in store,
+        "len": len,
+        "disk_keys": lambda store: list(store.disk_keys()),
+        "query": lambda store: store.query(),
+        "stats": lambda store: store.stats()["entries"],
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_read_of_a_missing_directory_is_empty_and_creates_nothing(
+        self, tmp_path, read
+    ):
+        root = tmp_path / "absent"
+        assert not self.READS[read](ResultStore(root))
+        assert not root.exists()
+
+    def test_stray_json_files_are_not_entries(self, tmp_path):
+        # Files beside the index are not part of the store: a read leaves
+        # them alone and does not create an index for them.
+        stray = tmp_path / "suite-aa.json"
+        stray.write_text(json.dumps({"format": FORMAT_VERSION, "payload": {"x": 1}}))
+        store = ResultStore(tmp_path)
+        assert store.get("suite-aa", decoder=lambda p: p) is None
+        assert len(store) == 0
+        assert not store.db_path.exists()
+        assert stray.exists()
+
+
 class TestConsistentViews:
     """`in`, `len` and decoder-less `get` must agree on what is served.
 
@@ -262,75 +326,6 @@ class TestConsistentViews:
         store.put("disk-aa", 1, encoder=lambda v: v)  # in both layers
         assert len(store) == 2
         assert "mem-bb" in store and "disk-aa" in store
-
-
-class TestLegacyMigration:
-    """A JSON-era cache directory folds into the index on first access."""
-
-    @staticmethod
-    def write_legacy(root, key, payload):
-        envelope = {"format": FORMAT_VERSION, "key": key, "payload": payload}
-        (root / f"{key}.json").write_text(json.dumps(envelope))
-
-    def test_legacy_entries_served_and_files_consumed(self, tmp_path):
-        self.write_legacy(tmp_path, "suite-aa", {"x": 1})
-        self.write_legacy(tmp_path, "events-bb", [1, 2, 3])
-        store = ResultStore(tmp_path)
-        assert store.get("suite-aa", decoder=lambda p: p) == {"x": 1}
-        assert store.get("events-bb") == [1, 2, 3]
-        assert list(tmp_path.glob("suite-*.json")) == []
-        assert list(tmp_path.glob("events-*.json")) == []
-        assert set(ResultStore(tmp_path).disk_keys()) == {"events-bb", "suite-aa"}
-
-    def test_migrated_payload_is_byte_identical(self, tmp_path):
-        payload = {"b": [1, 2], "a": {"nested": True}, "f": 0.25}
-        ResultStore(tmp_path).put("suite-aa", payload, encoder=lambda v: v)
-        native = ResultStore(tmp_path).get("suite-aa")
-
-        legacy_root = tmp_path / "legacy"
-        legacy_root.mkdir()
-        self.write_legacy(legacy_root, "suite-aa", payload)
-        migrated = ResultStore(legacy_root).get("suite-aa")
-        assert json.dumps(migrated, sort_keys=True) == json.dumps(native, sort_keys=True)
-
-    def test_corrupt_legacy_file_is_dropped_not_fatal(self, tmp_path):
-        (tmp_path / "suite-aa.json").write_text("{ not json")
-        self.write_legacy(tmp_path, "suite-bb", {"x": 2})
-        store = ResultStore(tmp_path)
-        assert store.get("suite-aa") is None
-        assert store.get("suite-bb") == {"x": 2}
-        assert list(tmp_path.glob("suite-*.json")) == []
-
-    def test_stale_format_legacy_entry_not_migrated(self, tmp_path):
-        (tmp_path / "suite-aa.json").write_text(
-            json.dumps({"format": FORMAT_VERSION + 1, "key": "suite-aa", "payload": 1})
-        )
-        store = ResultStore(tmp_path)
-        assert store.get("suite-aa") is None
-        assert list(store.disk_keys()) == []
-
-    def test_index_entry_wins_over_stale_legacy_file(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put("suite-aa", {"fresh": True}, encoder=lambda v: v)
-        self.write_legacy(tmp_path, "suite-aa", {"stale": True})
-        cold = ResultStore(tmp_path)
-        assert cold.get("suite-aa") == {"fresh": True}
-
-    def test_suite_served_from_migrated_legacy_cache(self, tmp_path):
-        # End to end: simulate into a store, re-encode the entries as
-        # JSON-era files in a fresh directory, and assert run_benchmarks is
-        # served from the migrated index with bit-identical results.
-        store = ResultStore(tmp_path / "native")
-        computed = run_benchmarks(("hyrise",), scale=0.002, num_accesses=4000, store=store)
-        legacy_root = tmp_path / "legacy"
-        legacy_root.mkdir()
-        for key in store.disk_keys():
-            self.write_legacy(legacy_root, key, ResultStore(tmp_path / "native").get(key))
-        served = run_benchmarks(
-            ("hyrise",), scale=0.002, num_accesses=4000, store=ResultStore(legacy_root)
-        )
-        for mode in computed["hyrise"]:
-            assert served["hyrise"][mode].to_dict() == computed["hyrise"][mode].to_dict()
 
 
 class TestQueryStatsGc:

@@ -267,21 +267,7 @@ class TestStreamedStoreKeySemantics:
 
 
 class TestStreamValidation:
-    def test_stream_rejects_warmup(self):
-        with pytest.raises(ValueError, match="exact by construction"):
-            run_suite_sharded(
-                ["bsw"],
-                ShardSpec(100, warmup=50),
-                modes=("CI",),
-                num_accesses=200,
-                stream=50,
-            )
-
-    def test_chain_rejects_warmup_and_bad_window(self):
-        with pytest.raises(ValueError, match="exact by construction"):
-            stream_shard_chain(
-                "bsw", "CI", ShardSpec(100, warmup=0), 0.002, 200, 7, 50
-            )
+    def test_chain_rejects_bad_window(self):
         with pytest.raises(ValueError, match="window must be positive"):
             stream_shard_chain("bsw", "CI", ShardSpec(100), 0.002, 200, 7, 0)
 
@@ -290,15 +276,6 @@ class TestStreamValidation:
 
         with pytest.raises(ValueError, match="stream window must be positive"):
             run_benchmarks(("bsw",), modes=("CI",), num_accesses=200, stream=-1)
-        with pytest.raises(ValueError, match="exact by construction"):
-            run_benchmarks(
-                ("bsw",),
-                modes=("CI",),
-                num_accesses=200,
-                stream=100,
-                shard_size=100,
-                shard_warmup=50,
-            )
 
     def test_slice_bounds_validation(self):
         assert slice_bounds(10, 4) == [(0, 4), (4, 8), (8, 10)]
@@ -336,19 +313,6 @@ class TestCliStreamFlag:
 
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--stream", "0"])
-        assert excinfo.value.code == 2
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "bench",
-                    "--shard-size",
-                    "100",
-                    "--shard-warmup",
-                    "50",
-                    "--stream",
-                    "100",
-                ]
-            )
         assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
             main(["fig6", "--stream", "100"])
